@@ -12,6 +12,10 @@
 //! where `cap_b` is the bin's capacity (bin area × target density − fixed
 //! area already in the bin). Both the value and the analytic gradient with
 //! respect to every movable cell centre are provided.
+//!
+//! The kernel is separable, `θx(|dx|)·θy(|dy|)`, and bin centres form a
+//! lattice, so each cell evaluates its bells once per window column and
+//! row rather than once per bin (see `Window`).
 
 use crate::exec::{chunk_count, chunk_range, Executor};
 use sdp_geom::{BinGrid, Point, Rect};
@@ -87,11 +91,9 @@ pub struct DensityModel {
     /// Per-cell area inflation factors (routability-driven placement
     /// widens cells in congested regions); `1.0` = no inflation.
     inflation: Vec<f64>,
-    /// Movable-cell ids in netlist order, cached so parallel evaluation
-    /// does not rebuild the list every call.
+    /// Movable-cell ids in netlist order, cached so evaluation does not
+    /// rebuild the list every call.
     movable: Vec<CellId>,
-    /// Scratch: per-cell deposit list reused across accumulation passes.
-    deposit_scratch: Vec<(usize, f64)>,
     /// Total movable area, for the overflow ratio.
     movable_area: f64,
 }
@@ -141,7 +143,6 @@ impl DensityModel {
             norm: vec![0.0; netlist.num_cells()],
             inflation: vec![1.0; netlist.num_cells()],
             movable: netlist.movable_ids().collect(),
-            deposit_scratch: Vec::new(),
             movable_area: netlist.movable_area().max(1e-12),
         }
     }
@@ -182,29 +183,20 @@ impl DensityModel {
     /// Also refreshes the internal potential field used by
     /// [`DensityModel::overflow`].
     pub fn eval(&mut self, netlist: &Netlist, pos: &[Point], grad: &mut [Point]) -> f64 {
-        self.accumulate_potential(netlist, pos);
-        let penalty = self.penalty();
-
-        // Gradient: d/dx Σ (over_b)⁺² = Σ 2 over_b⁺ · c_i · θy · dθx/dx.
-        for c in netlist.movable_ids() {
-            let g = self.cell_gradient(netlist, c, pos[c.ix()]);
-            grad[c.ix()].x += g.x;
-            grad[c.ix()].y += g.y;
-        }
-        penalty
+        self.eval_with(netlist, pos, grad, &SEQUENTIAL)
     }
 
     /// Like [`DensityModel::eval`], evaluated across `exec`'s thread pool.
     ///
-    /// The evaluation runs in three phases: (1) per-cell kernel masses and
-    /// potential deposits are computed in parallel over contiguous chunks
-    /// of the movable-cell list, then applied to the shared potential
-    /// field sequentially in chunk order — replaying the exact addition
-    /// sequence of the sequential pass; (2) the per-bin penalty fold stays
-    /// sequential (it is O(bins)); (3) per-cell gradients are computed in
-    /// parallel (each cell's gradient is written by exactly one chunk).
-    /// The result is bitwise identical to [`DensityModel::eval`] at any
-    /// thread count.
+    /// The evaluation runs in three phases: (1) per-cell kernel masses
+    /// and potential deposits are computed in parallel over contiguous
+    /// chunks of the movable-cell list, then applied to the shared
+    /// potential field sequentially in chunk order; (2) the O(bins)
+    /// penalty fold stays sequential; (3) per-cell gradients are computed
+    /// in parallel (each cell's gradient is written by exactly one chunk).
+    /// Phases 1 and 3 fill each cell's `Window` once per pass. The result
+    /// is bitwise identical at any thread count, `exec` of one thread
+    /// included: `eval` is this same path on an inline executor.
     pub fn eval_with(
         &mut self,
         netlist: &Netlist,
@@ -212,94 +204,128 @@ impl DensityModel {
         grad: &mut [Point],
         exec: &Executor,
     ) -> f64 {
-        if exec.threads() == 1 {
-            return self.eval(netlist, pos, grad);
-        }
+        let chunks = chunk_count(self.movable.len(), CELL_CHUNK);
 
-        // Phase 1: masses + deposits in parallel, applied in chunk order.
+        // Phase 1: masses and deposits in parallel, applied in cell order.
         let parts: Vec<PotentialChunk> = {
-            let grid = &self.grid;
-            let inflation = &self.inflation;
-            let movable = &self.movable;
-            exec.map(chunk_count(movable.len(), CELL_CHUNK), |ci| {
-                let cells = chunk_range(movable.len(), CELL_CHUNK, ci);
-                let mut part = PotentialChunk {
-                    // sdp-lint: allow(hot-loop-alloc) -- one exact-sized
-                    // buffer per 128-cell chunk, amortized over the chunk.
-                    norms: Vec::with_capacity(cells.len()),
-                    // sdp-lint: allow(hot-loop-alloc) -- per-chunk deposit
-                    // list; grows once then amortizes across the chunk.
-                    deposits: Vec::new(),
-                };
-                for &c in &movable[cells] {
-                    let m = netlist.master_of(c);
-                    let center = pos[c.ix()];
-                    let infl = inflation[c.ix()];
-                    let bx = Bell::new(m.width * infl, grid.bin_w());
-                    let by = Bell::new(m.height, grid.bin_h());
-                    let mut mass = 0.0;
-                    for_bins_in_radius(grid, center, &bx, &by, |bix| {
-                        let bc = grid.bin_center(bix);
-                        mass +=
-                            bx.theta((center.x - bc.x).abs()) * by.theta((center.y - bc.y).abs());
-                    });
-                    let ci_norm = if mass > 1e-12 {
-                        m.area() * infl / mass
-                    } else {
-                        0.0
-                    };
-                    part.norms.push((c.ix(), ci_norm));
-                    // sdp-lint: allow(float-soundness) -- exact sentinel: the
-                    // branch above assigns literal 0.0, never a computed value.
-                    if ci_norm == 0.0 {
-                        continue;
-                    }
-                    for_bins_in_radius(grid, center, &bx, &by, |bix| {
-                        let bc = grid.bin_center(bix);
-                        let t =
-                            bx.theta((center.x - bc.x).abs()) * by.theta((center.y - bc.y).abs());
-                        if t > 0.0 {
-                            part.deposits.push((grid.flat(bix), ci_norm * t));
-                        }
-                    });
-                }
-                part
-            })
+            let this = &*self;
+            exec.map(chunks, |ci| this.deposits(netlist, pos, ci))
         };
         self.potential.fill(0.0);
         for part in parts {
-            for (cell, ci_norm) in part.norms {
-                self.norm[cell] = ci_norm;
+            for (cell, norm) in part.norms {
+                self.norm[cell] = norm;
             }
             for (f, v) in part.deposits {
                 self.potential[f] += v;
             }
         }
-
-        // Phase 2: per-bin penalty (sequential, cheap).
         let penalty = self.penalty();
 
         // Phase 3: per-cell gradients. Each cell belongs to exactly one
         // chunk, so there is no cross-chunk accumulation to order.
-        let grads: Vec<Vec<(usize, Point)>> = {
+        let grads: Vec<Vec<Point>> = {
             let this = &*self;
-            let movable = &self.movable;
-            exec.map(chunk_count(movable.len(), CELL_CHUNK), |ci| {
-                movable[chunk_range(movable.len(), CELL_CHUNK, ci)]
-                    .iter()
-                    .map(|&c| (c.ix(), this.cell_gradient(netlist, c, pos[c.ix()])))
-                    // sdp-lint: allow(hot-loop-alloc) -- one exact-sized
-                    // gradient list per 128-cell chunk.
-                    .collect()
-            })
+            exec.map(chunks, |ci| this.gradients(netlist, pos, ci))
         };
-        for part in grads {
-            for (cell, g) in part {
-                grad[cell].x += g.x;
-                grad[cell].y += g.y;
+        for (ci, part) in grads.into_iter().enumerate() {
+            let cells = chunk_range(self.movable.len(), CELL_CHUNK, ci);
+            for (&c, g) in self.movable[cells].iter().zip(part) {
+                grad[c.ix()].x += g.x;
+                grad[c.ix()].y += g.y;
             }
         }
         penalty
+    }
+
+    /// The bells of cell `c` on each axis.
+    fn bells(&self, netlist: &Netlist, c: CellId) -> (Bell, Bell) {
+        let m = netlist.master_of(c);
+        let bx = Bell::new(m.width * self.inflation[c.ix()], self.grid.bin_w());
+        (bx, Bell::new(m.height, self.grid.bin_h()))
+    }
+
+    /// Chunk `ci`'s kernel normalizations and potential deposits.
+    fn deposits(&self, netlist: &Netlist, pos: &[Point], ci: usize) -> PotentialChunk {
+        let cells = chunk_range(self.movable.len(), CELL_CHUNK, ci);
+        let nx = self.grid.nx();
+        let mut w = Window::default();
+        let mut part = PotentialChunk {
+            // sdp-lint: allow(hot-loop-alloc) -- one exact-sized buffer
+            // per 128-cell chunk, amortized over the chunk.
+            norms: Vec::with_capacity(cells.len()),
+            // sdp-lint: allow(hot-loop-alloc) -- per-chunk deposit list;
+            // grows once then amortizes across the chunk.
+            deposits: Vec::new(),
+        };
+        for &c in &self.movable[cells] {
+            let (bx, by) = self.bells(netlist, c);
+            w.fill(&self.grid, &bx, &by, pos[c.ix()], false);
+            // Kernel mass for normalization (Σ θxθy → cell area).
+            let mut mass = 0.0;
+            for &ty in &w.ty {
+                for &tx in &w.tx {
+                    mass += tx * ty;
+                }
+            }
+            let area = netlist.master_of(c).area() * self.inflation[c.ix()];
+            let norm = if mass > 1e-12 { area / mass } else { 0.0 };
+            part.norms.push((c.ix(), norm));
+            // sdp-lint: allow(float-soundness) -- exact sentinel: the
+            // branch above assigns literal 0.0, never a computed value.
+            if norm == 0.0 {
+                continue;
+            }
+            for (row, &ty) in w.ty.iter().enumerate() {
+                let base = (w.iy_lo + row) * nx + w.ix_lo;
+                for (col, &tx) in w.tx.iter().enumerate() {
+                    let t = tx * ty;
+                    if t > 0.0 {
+                        part.deposits.push((base + col, norm * t));
+                    }
+                }
+            }
+        }
+        part
+    }
+
+    /// Chunk `ci`'s per-cell density gradients, given the current
+    /// potential field and normalizations.
+    fn gradients(&self, netlist: &Netlist, pos: &[Point], ci: usize) -> Vec<Point> {
+        let cells = chunk_range(self.movable.len(), CELL_CHUNK, ci);
+        let mut w = Window::default();
+        let nx = self.grid.nx();
+        // sdp-lint: allow(hot-loop-alloc) -- one exact-sized gradient list
+        // per 128-cell chunk.
+        let mut out = Vec::with_capacity(cells.len());
+        for &c in &self.movable[cells] {
+            let norm = self.norm[c.ix()];
+            // sdp-lint: allow(float-soundness) -- exact sentinel: `norm`
+            // entries are a guarded quotient or literal 0.0.
+            if norm == 0.0 {
+                out.push(Point::ORIGIN);
+                continue;
+            }
+            let (bx, by) = self.bells(netlist, c);
+            w.fill(&self.grid, &bx, &by, pos[c.ix()], true);
+            let (mut gx, mut gy) = (0.0, 0.0);
+            for (row, (&ty, &dty)) in w.ty.iter().zip(&w.dty).enumerate() {
+                let base = (w.iy_lo + row) * nx + w.ix_lo;
+                for (col, (&tx, &dtx)) in w.tx.iter().zip(&w.dtx).enumerate() {
+                    let f = base + col;
+                    let over = self.potential[f] - self.capacity[f];
+                    if over <= 0.0 {
+                        continue;
+                    }
+                    // d/dx Σ (over_b)⁺² = Σ 2 over_b⁺ · c_i · θy · dθx/dx.
+                    let k = 2.0 * over * norm;
+                    gx += k * dtx * ty;
+                    gy += k * tx * dty;
+                }
+            }
+            out.push(Point::new(gx, gy));
+        }
+        out
     }
 
     /// The penalty fold over the current potential field.
@@ -314,40 +340,6 @@ impl DensityModel {
         penalty
     }
 
-    /// One movable cell's density gradient at `center`, given the current
-    /// potential field and normalization constants.
-    fn cell_gradient(&self, netlist: &Netlist, c: CellId, center: Point) -> Point {
-        let m = netlist.master_of(c);
-        let infl = self.inflation[c.ix()];
-        let bx = Bell::new(m.width * infl, self.grid.bin_w());
-        let by = Bell::new(m.height, self.grid.bin_h());
-        let ci = self.norm[c.ix()];
-        // sdp-lint: allow(float-soundness) -- exact sentinel: `norm` entries
-        // are either a guarded quotient or literal 0.0 (see update_norms).
-        if ci == 0.0 {
-            return Point::ORIGIN;
-        }
-        let mut gx = 0.0;
-        let mut gy = 0.0;
-        for_bins_in_radius(&self.grid, center, &bx, &by, |bix| {
-            let bc = self.grid.bin_center(bix);
-            let f = self.grid.flat(bix);
-            let over = self.potential[f] - self.capacity[f];
-            if over <= 0.0 {
-                return;
-            }
-            let dx = center.x - bc.x;
-            let dy = center.y - bc.y;
-            let tx = bx.theta(dx.abs());
-            let ty = by.theta(dy.abs());
-            let dtx = bx.dtheta(dx.abs()) * dx.signum();
-            let dty = by.dtheta(dy.abs()) * dy.signum();
-            gx += 2.0 * over * ci * dtx * ty;
-            gy += 2.0 * over * ci * tx * dty;
-        });
-        Point::new(gx, gy)
-    }
-
     /// Total overflow ratio at the last-evaluated positions: the summed
     /// per-bin overfill divided by the total movable area. `0` means every
     /// bin is at or under its capacity.
@@ -360,52 +352,10 @@ impl DensityModel {
             .sum();
         over / self.movable_area
     }
-
-    /// Recomputes the potential field and per-cell normalizations.
-    fn accumulate_potential(&mut self, netlist: &Netlist, pos: &[Point]) {
-        self.potential.fill(0.0);
-        // One deposit buffer reused across all cells; it must live outside
-        // `self` while filling because the visitor closure borrows the grid.
-        let mut deposits = std::mem::take(&mut self.deposit_scratch);
-        for c in netlist.movable_ids() {
-            let m = netlist.master_of(c);
-            let center = pos[c.ix()];
-            let infl = self.inflation[c.ix()];
-            let bx = Bell::new(m.width * infl, self.grid.bin_w());
-            let by = Bell::new(m.height, self.grid.bin_h());
-            // Pass 1: kernel mass for normalization (Σ θxθy → cell area).
-            let mut mass = 0.0;
-            for_bins_in_radius(&self.grid, center, &bx, &by, |bix| {
-                let bc = self.grid.bin_center(bix);
-                mass += bx.theta((center.x - bc.x).abs()) * by.theta((center.y - bc.y).abs());
-            });
-            let ci = if mass > 1e-12 {
-                m.area() * infl / mass
-            } else {
-                0.0
-            };
-            self.norm[c.ix()] = ci;
-            // sdp-lint: allow(float-soundness) -- exact sentinel: the branch
-            // above assigns literal 0.0, never a computed value.
-            if ci == 0.0 {
-                continue;
-            }
-            // Pass 2: deposit normalized potential.
-            deposits.clear();
-            for_bins_in_radius(&self.grid, center, &bx, &by, |bix| {
-                let bc = self.grid.bin_center(bix);
-                let t = bx.theta((center.x - bc.x).abs()) * by.theta((center.y - bc.y).abs());
-                if t > 0.0 {
-                    deposits.push((self.grid.flat(bix), ci * t));
-                }
-            });
-            for &(f, v) in &deposits {
-                self.potential[f] += v;
-            }
-        }
-        self.deposit_scratch = deposits;
-    }
 }
+
+/// The executor [`DensityModel::eval`] runs on: inline, no pool.
+static SEQUENTIAL: Executor = Executor::sequential();
 
 /// Movable-cell chunk size for parallel evaluation. Purely a scheduling
 /// granularity: results never depend on it.
@@ -418,24 +368,55 @@ struct PotentialChunk {
     deposits: Vec<(usize, f64)>,
 }
 
-/// Visits every bin whose centre lies within the kernel radius of
-/// `center`.
-fn for_bins_in_radius<F: FnMut((usize, usize))>(
-    grid: &BinGrid,
-    center: Point,
-    bx: &Bell,
-    by: &Bell,
-    mut f: F,
-) {
-    let r = Rect::centered_at(center, 2.0 * bx.radius(), 2.0 * by.radius());
-    let clipped = match r.intersection(&grid.region()) {
-        Some(c) => c,
-        None => return,
-    };
-    let ((ix_lo, ix_hi), (iy_lo, iy_hi)) = grid.bins_overlapping(&clipped);
-    for iy in iy_lo..=iy_hi {
+/// One cell's clipped bin window and its separable kernel tables: `θx`
+/// per column from `ix_lo`, `θy` per row from `iy_lo`, and for the
+/// gradient `θx'·sign dx` and `θy'·sign dy`. One scratch window per chunk
+/// is refilled for every cell in every pass.
+///
+/// `bin_center((ix, iy)).x` depends only on `ix` (and `.y` only on `iy`),
+/// so the kernel `θx(|dx|)·θy(|dy|)` of every bin in the window is a
+/// product of one column entry and one row entry: O(wx + wy) bell
+/// evaluations replace O(wx·wy). The mass, deposit and gradient loops
+/// visit the bins row by row, column by column, and form each product
+/// with the same operands in the same order as a direct per-bin
+/// evaluation, so every sum is bitwise unchanged.
+#[derive(Default)]
+struct Window {
+    ix_lo: usize,
+    iy_lo: usize,
+    tx: Vec<f64>,
+    ty: Vec<f64>,
+    dtx: Vec<f64>,
+    dty: Vec<f64>,
+}
+
+impl Window {
+    /// Refills the window for a cell at `center`, with the derivative
+    /// tables only when `derivs`. A cell whose kernel misses the region
+    /// gets empty tables.
+    fn fill(&mut self, grid: &BinGrid, bx: &Bell, by: &Bell, center: Point, derivs: bool) {
+        for t in [&mut self.tx, &mut self.ty, &mut self.dtx, &mut self.dty] {
+            t.clear();
+        }
+        let reach = Rect::centered_at(center, 2.0 * bx.radius(), 2.0 * by.radius());
+        let Some(clipped) = reach.intersection(&grid.region()) else {
+            return;
+        };
+        let ((ix_lo, ix_hi), (iy_lo, iy_hi)) = grid.bins_overlapping(&clipped);
+        (self.ix_lo, self.iy_lo) = (ix_lo, iy_lo);
         for ix in ix_lo..=ix_hi {
-            f((ix, iy));
+            let d = center.x - grid.bin_center((ix, iy_lo)).x;
+            self.tx.push(bx.theta(d.abs()));
+            if derivs {
+                self.dtx.push(bx.dtheta(d.abs()) * d.signum());
+            }
+        }
+        for iy in iy_lo..=iy_hi {
+            let d = center.y - grid.bin_center((ix_lo, iy)).y;
+            self.ty.push(by.theta(d.abs()));
+            if derivs {
+                self.dty.push(by.dtheta(d.abs()) * d.signum());
+            }
         }
     }
 }

@@ -175,7 +175,7 @@ impl Executor {
     }
 
     /// A single-threaded executor: every job runs inline on the caller.
-    pub fn sequential() -> Self {
+    pub const fn sequential() -> Self {
         Executor {
             pool: None,
             threads: 1,

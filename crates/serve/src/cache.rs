@@ -7,11 +7,16 @@
 //! built on, and the e2e suite pins it. The budget counts body bytes
 //! only; the per-entry bookkeeping is a few dozen bytes against result
 //! bodies that run from kilobytes (dp_tiny) to megabytes (dp_huge).
+//!
+//! Bodies are shared `Arc<str>`s: an entry, the job records serving it
+//! and the persisted record all point at one allocation. The budget
+//! counts each entry's body bytes once, however many records share it.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 struct Entry {
-    body: String,
+    body: Arc<str>,
     /// Monotonic access stamp — larger means more recently used.
     last_used: u64,
 }
@@ -38,19 +43,20 @@ impl ResultCache {
         }
     }
 
-    /// Looks up a body and marks it most-recently-used.
-    pub fn get(&mut self, hash: u64) -> Option<&str> {
+    /// Looks up a body (a shared handle, no byte copy) and marks it
+    /// most-recently-used.
+    pub fn get(&mut self, hash: u64) -> Option<Arc<str>> {
         self.clock += 1;
         let clock = self.clock;
         let e = self.entries.get_mut(&hash)?;
         e.last_used = clock;
-        Some(&e.body)
+        Some(Arc::clone(&e.body))
     }
 
     /// Inserts (or refreshes) a body, then evicts least-recently-used
     /// entries until the budget holds. A body larger than the whole
     /// budget is not stored at all.
-    pub fn insert(&mut self, hash: u64, body: String) {
+    pub fn insert(&mut self, hash: u64, body: Arc<str>) {
         if body.len() > self.budget {
             return;
         }
@@ -96,8 +102,8 @@ impl ResultCache {
 mod tests {
     use super::*;
 
-    fn body(n: usize) -> String {
-        "x".repeat(n)
+    fn body(n: usize) -> Arc<str> {
+        "x".repeat(n).into()
     }
 
     #[test]
@@ -141,6 +147,6 @@ mod tests {
         c.insert(1, body(60));
         c.insert(1, body(30));
         assert_eq!((c.len(), c.bytes()), (1, 30));
-        assert_eq!(c.get(1).map(str::len), Some(30));
+        assert_eq!(c.get(1).map(|b| b.len()), Some(30));
     }
 }

@@ -139,8 +139,9 @@ struct JobRecord {
     /// Current phase and fraction while running.
     phase: Option<Phase>,
     frac: f64,
-    /// Deterministic result body (`Done` only).
-    result: Option<String>,
+    /// Deterministic result body (`Done` only), shared with the cache
+    /// and every record of the same execution.
+    result: Option<Arc<str>>,
     /// Failure / cancellation detail.
     error: Option<String>,
     /// Timings for the status endpoint (never part of the result body).
@@ -313,7 +314,7 @@ impl Engine {
                 next_id = next_id.max(id + 1);
                 if rec.state == JobState::Done {
                     if let Some(body) = &rec.result {
-                        cache.insert(rec.hash, body.clone());
+                        cache.insert(rec.hash, Arc::clone(body));
                     }
                 }
                 records.insert(id, JobRecord::replayed(&rec));
@@ -377,7 +378,7 @@ impl Engine {
 
         // Content-addressed fast path. The cache guard is statement-
         // scoped: it is never held while `queue`/`jobs` is taken.
-        let cached: Option<String> = lock(&self.shared.cache).get(hash).map(str::to_string);
+        let cached = lock(&self.shared.cache).get(hash);
         if let Some(body) = cached {
             if self.shared.shutting.load(Ordering::Acquire) {
                 return Err(SubmitError::ShuttingDown);
@@ -506,22 +507,30 @@ impl Engine {
     /// the deterministic result, 409 while unfinished, 500 for a crashed
     /// job, 410-style 409 for a cancelled one. `None` for unknown ids.
     pub fn result_response(&self, id: u64) -> Option<(u16, String)> {
-        let jobs = lock(&self.shared.jobs);
-        let r = jobs.records.get(&id)?;
-        Some(match (&r.state, &r.result) {
-            (JobState::Done, Some(body)) => (200, body.clone()),
-            (JobState::Failed, _) => (
-                500,
-                error_body(
-                    "job failed",
-                    r.error.as_deref().unwrap_or("unknown failure"),
-                ),
-            ),
-            (JobState::Cancelled, _) => (
-                409,
-                error_body("job cancelled", r.error.as_deref().unwrap_or("cancelled")),
-            ),
-            _ => (409, error_body("job not finished", r.state.name())),
+        // Under the lock only the shared body's refcount moves; its bytes
+        // are copied out after the guard is gone.
+        let done = {
+            let jobs = lock(&self.shared.jobs);
+            let r = jobs.records.get(&id)?;
+            match (&r.state, &r.result) {
+                (JobState::Done, Some(body)) => Ok(Arc::clone(body)),
+                (JobState::Failed, _) => Err((
+                    500,
+                    error_body(
+                        "job failed",
+                        r.error.as_deref().unwrap_or("unknown failure"),
+                    ),
+                )),
+                (JobState::Cancelled, _) => Err((
+                    409,
+                    error_body("job cancelled", r.error.as_deref().unwrap_or("cancelled")),
+                )),
+                _ => Err((409, error_body("job not finished", r.state.name()))),
+            }
+        };
+        Some(match done {
+            Ok(body) => (200, body.to_string()),
+            Err(resp) => resp,
         })
     }
 
@@ -835,7 +844,7 @@ fn worker_loop(shared: &Arc<Shared>) {
         // `done`. The cache guard is statement-scoped — never held
         // while `jobs` is taken.
         if let Ok(Ok((body, _))) = &outcome {
-            lock(&shared.cache).insert(hash, body.clone());
+            lock(&shared.cache).insert(hash, Arc::clone(body));
         }
 
         let run_s = started.elapsed().as_secs_f64();
@@ -867,7 +876,7 @@ fn worker_loop(shared: &Arc<Shared>) {
                         continue;
                     }
                     r.state = JobState::Done;
-                    r.result = Some(body.clone());
+                    r.result = Some(Arc::clone(&body));
                     r.times = Some(times);
                     stored.push(stored_record(target, r));
                 }
@@ -955,7 +964,7 @@ fn run_job(
     spec: &JobSpec,
     obs: &Observer,
     default_threads: usize,
-) -> Result<(String, PhaseTimes), Cancelled> {
+) -> Result<(Arc<str>, PhaseTimes), Cancelled> {
     if spec.chaos_panic {
         panic!("chaos requested by job spec");
     }
@@ -975,7 +984,7 @@ fn run_job(
     }
     let out = StructurePlacer::new(flow).place_with(netlist, design, placement, obs)?;
     let times = out.report.times;
-    Ok((result_body(netlist, &out), times))
+    Ok((result_body(netlist, &out).into(), times))
 }
 
 /// The deterministic result body: metrics and the final placement,

@@ -21,6 +21,7 @@ use sdp_json::Json;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// One terminal job record, as persisted.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,8 +35,9 @@ pub struct StoredRecord {
     pub label: String,
     /// Terminal state (Done/Failed/Cancelled — never Queued/Running).
     pub state: JobState,
-    /// The deterministic result body (`Done` only).
-    pub result: Option<String>,
+    /// The deterministic result body (`Done` only), shared with the job
+    /// record and the result cache.
+    pub result: Option<Arc<str>>,
     /// Failure / cancellation detail.
     pub error: Option<String>,
 }
@@ -119,7 +121,7 @@ fn record_json(rec: &StoredRecord) -> Json {
         ("state".to_string(), Json::str(rec.state.name())),
     ];
     if let Some(r) = &rec.result {
-        pairs.push(("result".to_string(), Json::str(r.clone())));
+        pairs.push(("result".to_string(), Json::str(&**r)));
     }
     if let Some(e) = &rec.error {
         pairs.push(("error".to_string(), Json::str(e.clone())));
@@ -144,7 +146,7 @@ fn parse_line(line: &[u8]) -> Option<StoredRecord> {
         hash: u64::from_str_radix(v.get("hash")?.as_str()?, 16).ok()?,
         label: v.get("label")?.as_str()?.to_string(),
         state,
-        result: v.get("result").and_then(Json::as_str).map(str::to_string),
+        result: v.get("result").and_then(Json::as_str).map(Arc::from),
         error: v.get("error").and_then(Json::as_str).map(str::to_string),
     })
 }
@@ -165,7 +167,7 @@ mod tests {
             hash: 0xdead_beef_0000_0000 | id,
             label: "dp_tiny".to_string(),
             state,
-            result: result.map(str::to_string),
+            result: result.map(Arc::from),
             error: None,
         }
     }
