@@ -693,8 +693,9 @@ impl StructurePlacer {
         // detailed placement, because a spread that looks better at the
         // global-placement stage can reverse downstream (observed on
         // dp_large). RUDY peak was tried first and is unreliable.
-        // Wirelength breaks ties.
-        let score = |pl: &Placement| -> (u64, f64) {
+        // Wirelength breaks ties. The route is observed, so a cancel
+        // lands inside scoring too.
+        let score = |pl: &Placement| -> Result<(u64, f64), Cancelled> {
             let mut snap = pl.clone();
             legalize(netlist, design, &mut snap, &LegalizeOptions::default());
             detailed_place(
@@ -706,11 +707,17 @@ impl StructurePlacer {
                     ..DetailedOptions::default()
                 },
             );
-            let r = sdp_route::route(netlist, &snap, design, &sdp_route::RouteConfig::default());
-            (r.overflow, r.wirelength)
+            let r = sdp_route::route_observed(
+                netlist,
+                &snap,
+                design,
+                &sdp_route::RouteConfig::default(),
+                obs,
+            )?;
+            Ok((r.overflow, r.wirelength))
         };
         let mut best = placement.clone();
-        let mut best_score = score(placement);
+        let mut best_score = score(placement)?;
         let mut inflation = vec![1.0f64; netlist.num_cells()];
         let exec = Executor::new(self.config.gp.threads);
         for _round in 0..self.config.routability_rounds {
@@ -747,7 +754,7 @@ impl StructurePlacer {
             stats.outer_iters += r.outer_iters;
             stats.seconds += r.seconds;
             stats.evals += r.evals;
-            let s = score(placement);
+            let s = score(placement)?;
             if s < best_score {
                 best_score = s;
                 best = placement.clone();
@@ -1091,6 +1098,38 @@ mod tests {
         let out = StructurePlacer::new(cfg).place(&d.netlist, &d.design, &d.placement);
         assert_eq!(out.legal_violations, 0);
         assert!(out.report.hpwl.total > 0.0);
+    }
+
+    #[test]
+    fn routability_scoring_is_cancellable() {
+        use sdp_progress::{CancelToken, ManualClock, Observer, Phase, TokenSink};
+        use std::sync::{Arc, Mutex};
+
+        // Dense enough that the scorer's route starts with overflow and
+        // so runs rip-up & reroute, whose checkpoints see the cancel.
+        let mut gen = GenConfig::named("dp_small", 1).unwrap();
+        gen.utilization = 0.92;
+        let d = generate(&gen);
+        let mut cfg = FlowConfig::fast();
+        cfg.routability_rounds = 1;
+        // Cancel at the scorer's first route report; HPWL mode routes
+        // nowhere else.
+        let token = CancelToken::new();
+        let t2 = token.clone();
+        let routes: Arc<Mutex<Vec<f64>>> = Arc::new(Mutex::new(Vec::new()));
+        let routes2 = Arc::clone(&routes);
+        let sink = TokenSink::new(token, move |phase, frac| {
+            if phase == Phase::Route {
+                routes2.lock().unwrap().push(frac);
+                t2.cancel();
+            }
+        });
+        let obs = Observer::new(Arc::new(ManualClock::new()), Arc::new(sink));
+        let r = StructurePlacer::new(cfg).place_with(&d.netlist, &d.design, &d.placement, &obs);
+        assert_eq!(r.err(), Some(Cancelled));
+        // The route started and never finished: the cancel landed inside
+        // scoring.
+        assert_eq!(*routes.lock().unwrap(), vec![0.0]);
     }
 
     #[test]

@@ -5,6 +5,7 @@ use crate::grid::{Dir, RoutingGrid};
 use sdp_geom::Point;
 use sdp_netlist::{Design, Netlist, Placement};
 use sdp_progress::{Cancelled, Observer, Phase};
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Segments between cancellation checkpoints in the per-segment loops.
@@ -95,6 +96,17 @@ pub fn route_observed(
     config: &RouteConfig,
     obs: &Observer,
 ) -> Result<RouteReport, Cancelled> {
+    route_segments(netlist, placement, design, config, obs).map(|(report, _)| report)
+}
+
+/// [`route_observed`] returning the final segments next to the report.
+fn route_segments(
+    netlist: &Netlist,
+    placement: &Placement,
+    design: &Design,
+    config: &RouteConfig,
+    obs: &Observer,
+) -> Result<(RouteReport, Vec<Segment>), Cancelled> {
     obs.checkpoint()?;
     let region = design.region();
     let (nx, ny) = config.grid.unwrap_or_else(|| {
@@ -104,7 +116,7 @@ pub fn route_observed(
             ((region.height() / pitch).round() as usize).clamp(2, 256),
         )
     });
-    let mut grid = RoutingGrid::new(
+    let grid = RoutingGrid::new(
         region,
         nx,
         ny,
@@ -139,14 +151,13 @@ pub fn route_observed(
     }
 
     // Initial routing: best of the two L shapes by current congestion.
-    let mut history = vec![0.0f64; nx * ny * 2]; // per edge: [h..., v...]
+    let mut router = Router::new(grid, config);
     for (i, seg) in segments.iter_mut().enumerate() {
         if i % CHECKPOINT_STRIDE == 0 {
             obs.checkpoint()?;
         }
-        let path = best_l_path(seg.a, seg.b, &grid, config, &history);
-        commit(&mut grid, &path, 1);
-        seg.path = path;
+        seg.path = router.best_l_path(seg.a, seg.b);
+        router.commit(&seg.path, 1);
     }
 
     // Negotiated-congestion rip-up & reroute. Not monotone in general, so
@@ -157,7 +168,7 @@ pub fn route_observed(
     for iter in 0..config.rrr_iters {
         obs.checkpoint()?;
         obs.report(Phase::Route, iter as f64 / config.rrr_iters.max(1) as f64);
-        let (overflow, _) = grid.total_overflow();
+        let (overflow, _) = router.grid.total_overflow();
         if best_paths.as_ref().is_none_or(|&(b, _)| overflow < b) {
             best_paths = Some((overflow, segments.iter().map(|s| s.path.clone()).collect()));
         }
@@ -165,50 +176,37 @@ pub fn route_observed(
             break;
         }
         iterations += 1;
-        // Bump history on overflowed edges.
-        for y in 0..ny {
-            for x in 0..nx.saturating_sub(1) {
-                if grid.edge_overflow(x, y, Dir::Horizontal) > 0 {
-                    history[h_hist(nx, x, y)] += config.history_increment;
-                }
-            }
-        }
-        for y in 0..ny.saturating_sub(1) {
-            for x in 0..nx {
-                if grid.edge_overflow(x, y, Dir::Vertical) > 0 {
-                    history[v_hist(nx, ny, x, y)] += config.history_increment;
-                }
-            }
-        }
+        router.bump_history();
         // Rip up and reroute segments crossing overflowed edges.
         for (i, seg) in segments.iter_mut().enumerate() {
             if i % CHECKPOINT_STRIDE == 0 {
                 obs.checkpoint()?;
             }
-            if !crosses_overflow(&grid, &seg.path) {
+            if !crosses_overflow(&router.grid, &seg.path) {
                 continue;
             }
-            commit(&mut grid, &seg.path, -1);
-            let path = maze_route(seg.a, seg.b, &grid, config, &history);
-            commit(&mut grid, &path, 1);
-            seg.path = path;
+            router.commit(&seg.path, -1);
+            router.maze_route(seg.a, seg.b, &mut seg.path);
+            router.commit(&seg.path, 1);
         }
     }
 
     // Restore the best solution if the last iteration regressed.
     if let Some((best, paths)) = best_paths {
-        if grid.total_overflow().0 > best {
+        if router.grid.total_overflow().0 > best {
             for (seg, path) in segments.iter_mut().zip(paths) {
-                commit(&mut grid, &seg.path, -1);
-                commit(&mut grid, &path, 1);
+                router.commit(&seg.path, -1);
+                router.commit(&path, 1);
                 seg.path = path;
             }
         }
     }
+    debug_assert_eq!(router.check(&segments), Ok(()));
 
     obs.report(Phase::Route, 1.0);
+    let grid = &router.grid;
     let (overflow, overflowed_edges) = grid.total_overflow();
-    Ok(RouteReport {
+    let report = RouteReport {
         wirelength: grid.total_wirelength(),
         overflow,
         overflowed_edges,
@@ -216,15 +214,38 @@ pub fn route_observed(
         iterations,
         segments: segments.len(),
         grid: (nx, ny),
-    })
+    };
+    Ok((report, segments))
 }
 
-fn h_hist(nx: usize, x: usize, y: usize) -> usize {
-    y * (nx - 1) + x
+/// Index of edge `(x, y, d)` in the per-edge tables: the `(nx-1)·ny`
+/// horizontal edges row by row, then the `nx·(ny-1)` vertical ones.
+fn edge_ix(nx: usize, ny: usize, x: usize, y: usize, d: Dir) -> usize {
+    match d {
+        Dir::Horizontal => y * (nx - 1) + x,
+        Dir::Vertical => (nx - 1) * ny + y * nx + x,
+    }
 }
 
-fn v_hist(nx: usize, ny: usize, x: usize, y: usize) -> usize {
-    (nx - 1) * ny + y * nx + x
+/// Every edge of an `nx × ny` grid in [`edge_ix`] order.
+fn edges(nx: usize, ny: usize) -> impl Iterator<Item = (usize, usize, Dir)> {
+    let h = (0..ny).flat_map(move |y| (0..nx - 1).map(move |x| (x, y, Dir::Horizontal)));
+    let v = (0..ny - 1).flat_map(move |y| (0..nx).map(move |x| (x, y, Dir::Vertical)));
+    h.chain(v)
+}
+
+/// The consecutive gcell pairs of a path.
+fn steps(path: &[(usize, usize)]) -> impl Iterator<Item = ((usize, usize), (usize, usize))> + '_ {
+    path.iter().copied().zip(path.iter().copied().skip(1))
+}
+
+/// The edge a path step between two adjacent gcells crosses.
+fn step_edge(a: (usize, usize), b: (usize, usize)) -> (usize, usize, Dir) {
+    if a.1 == b.1 {
+        (a.0.min(b.0), a.1, Dir::Horizontal)
+    } else {
+        (a.0, a.1.min(b.1), Dir::Vertical)
+    }
 }
 
 /// Rectilinear MST edges over distinct gcells (Prim, O(n²)).
@@ -273,159 +294,271 @@ fn edge_cost(
 ) -> f64 {
     let usage = grid.usage(x, y, d);
     let cap = grid.capacity(d);
-    let hist = match d {
-        Dir::Horizontal => history[h_hist(grid.nx(), x, y)],
-        Dir::Vertical => history[v_hist(grid.nx(), grid.ny(), x, y)],
-    };
+    let hist = history[edge_ix(grid.nx(), grid.ny(), x, y, d)];
     let over = (usage as i64 + 1 - cap as i64).max(0) as f64;
     (1.0 + hist) * (1.0 + config.congestion_penalty * over)
 }
 
-/// The cheaper of the two L-shaped paths from `a` to `b`.
-fn best_l_path(
-    a: (usize, usize),
-    b: (usize, usize),
-    grid: &RoutingGrid,
-    config: &RouteConfig,
-    history: &[f64],
-) -> Vec<(usize, usize)> {
-    let via_corner = |corner: (usize, usize)| -> (f64, Vec<(usize, usize)>) {
-        let mut path = vec![a];
-        let mut cost = 0.0;
-        let mut cur = a;
-        for target in [corner, b] {
-            while cur.0 != target.0 {
-                let (x, step) = if cur.0 < target.0 {
-                    (cur.0, 1i64)
-                } else {
-                    (cur.0 - 1, -1)
-                };
-                cost += edge_cost(grid, history, config, x, cur.1, Dir::Horizontal);
-                cur.0 = (cur.0 as i64 + step) as usize;
-                path.push(cur);
-            }
-            while cur.1 != target.1 {
-                let (y, step) = if cur.1 < target.1 {
-                    (cur.1, 1i64)
-                } else {
-                    (cur.1 - 1, -1)
-                };
-                cost += edge_cost(grid, history, config, cur.0, y, Dir::Vertical);
-                cur.1 = (cur.1 as i64 + step) as usize;
-                path.push(cur);
-            }
-        }
-        (cost, path)
-    };
-    let (c1, p1) = via_corner((b.0, a.1));
-    let (c2, p2) = via_corner((a.0, b.1));
-    if c1 <= c2 {
-        p1
-    } else {
-        p2
-    }
+/// The state of one route call: edge usage, history and cached edge
+/// costs, and the maze search buffers every reroute reuses.
+struct Router<'c> {
+    config: &'c RouteConfig,
+    grid: RoutingGrid,
+    /// History cost per edge, in [`edge_ix`] layout.
+    history: Vec<f64>,
+    /// [`edge_cost`] of every edge, in [`edge_ix`] layout: [`Router::commit`]
+    /// rewrites the edges it touches and [`Router::bump_history`] all of
+    /// them, so the searches read one value per edge.
+    cost: Vec<f64>,
+    maze: Maze,
 }
 
-/// Dijkstra maze routing with congestion + history costs.
-fn maze_route(
-    a: (usize, usize),
-    b: (usize, usize),
-    grid: &RoutingGrid,
-    config: &RouteConfig,
-    history: &[f64],
-) -> Vec<(usize, usize)> {
-    let (nx, ny) = (grid.nx(), grid.ny());
-    let ix = |c: (usize, usize)| c.1 * nx + c.0;
-    let mut dist = vec![f64::INFINITY; nx * ny];
-    let mut prev = vec![u32::MAX; nx * ny];
-
-    #[derive(PartialEq)]
-    struct Item(f64, (usize, usize));
-    impl Eq for Item {}
-    impl Ord for Item {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            other
-                .0
-                .total_cmp(&self.0)
-                .then_with(|| (other.1).cmp(&self.1))
-        }
-    }
-    impl PartialOrd for Item {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    let mut heap = BinaryHeap::new();
-    dist[ix(a)] = 0.0;
-    heap.push(Item(0.0, a));
-    while let Some(Item(d, cur)) = heap.pop() {
-        if cur == b {
-            break;
-        }
-        if d > dist[ix(cur)] {
-            continue;
-        }
-        let (x, y) = cur;
-        let mut relax = |nxt: (usize, usize), ecost: f64, heap: &mut BinaryHeap<Item>| {
-            let nd = d + ecost;
-            if nd < dist[ix(nxt)] {
-                dist[ix(nxt)] = nd;
-                prev[ix(nxt)] = ix(cur) as u32;
-                heap.push(Item(nd, nxt));
-            }
+impl<'c> Router<'c> {
+    fn new(grid: RoutingGrid, config: &'c RouteConfig) -> Self {
+        let (nx, ny) = (grid.nx(), grid.ny());
+        let n_edges = (nx - 1) * ny + nx * (ny - 1);
+        let mut router = Router {
+            config,
+            history: vec![0.0; n_edges],
+            cost: vec![0.0; n_edges],
+            maze: Maze::new(nx, ny),
+            grid,
         };
-        if x + 1 < nx {
-            let c = edge_cost(grid, history, config, x, y, Dir::Horizontal);
-            relax((x + 1, y), c, &mut heap);
-        }
-        if x > 0 {
-            let c = edge_cost(grid, history, config, x - 1, y, Dir::Horizontal);
-            relax((x - 1, y), c, &mut heap);
-        }
-        if y + 1 < ny {
-            let c = edge_cost(grid, history, config, x, y, Dir::Vertical);
-            relax((x, y + 1), c, &mut heap);
-        }
-        if y > 0 {
-            let c = edge_cost(grid, history, config, x, y - 1, Dir::Vertical);
-            relax((x, y - 1), c, &mut heap);
+        router.refresh_costs();
+        router
+    }
+
+    fn refresh_costs(&mut self) {
+        for (e, (x, y, d)) in edges(self.grid.nx(), self.grid.ny()).enumerate() {
+            self.cost[e] = edge_cost(&self.grid, &self.history, self.config, x, y, d);
         }
     }
-    // Reconstruct.
-    let mut path = vec![b];
-    let mut cur = ix(b);
-    while cur != ix(a) {
-        let p = prev[cur];
-        debug_assert!(p != u32::MAX, "maze route failed to reach the source");
-        cur = p as usize;
-        path.push((cur % nx, cur / nx));
+
+    /// Adds the history increment to every overflowed edge.
+    fn bump_history(&mut self) {
+        for (e, (x, y, d)) in edges(self.grid.nx(), self.grid.ny()).enumerate() {
+            if self.grid.edge_overflow(x, y, d) > 0 {
+                self.history[e] += self.config.history_increment;
+            }
+        }
+        self.refresh_costs();
     }
-    path.reverse();
-    path
+
+    /// Adds (`delta`=1) or removes (`delta`=-1) a path's usage.
+    fn commit(&mut self, path: &[(usize, usize)], delta: i32) {
+        let (nx, ny) = (self.grid.nx(), self.grid.ny());
+        for (p, q) in steps(path) {
+            let (x, y, d) = step_edge(p, q);
+            self.grid.add_usage(x, y, d, delta);
+            self.cost[edge_ix(nx, ny, x, y, d)] =
+                edge_cost(&self.grid, &self.history, self.config, x, y, d);
+        }
+    }
+
+    /// The cheaper of the two L-shaped paths from `a` to `b`.
+    fn best_l_path(&self, a: (usize, usize), b: (usize, usize)) -> Vec<(usize, usize)> {
+        let (nx, ny) = (self.grid.nx(), self.grid.ny());
+        let via_corner = |corner: (usize, usize)| -> (f64, Vec<(usize, usize)>) {
+            let mut path = vec![a];
+            let mut cost = 0.0;
+            let mut cur = a;
+            for target in [corner, b] {
+                while cur.0 != target.0 {
+                    let (x, step) = if cur.0 < target.0 {
+                        (cur.0, 1i64)
+                    } else {
+                        (cur.0 - 1, -1)
+                    };
+                    cost += self.cost[edge_ix(nx, ny, x, cur.1, Dir::Horizontal)];
+                    cur.0 = (cur.0 as i64 + step) as usize;
+                    path.push(cur);
+                }
+                while cur.1 != target.1 {
+                    let (y, step) = if cur.1 < target.1 {
+                        (cur.1, 1i64)
+                    } else {
+                        (cur.1 - 1, -1)
+                    };
+                    cost += self.cost[edge_ix(nx, ny, cur.0, y, Dir::Vertical)];
+                    cur.1 = (cur.1 as i64 + step) as usize;
+                    path.push(cur);
+                }
+            }
+            (cost, path)
+        };
+        let (c1, p1) = via_corner((b.0, a.1));
+        let (c2, p2) = via_corner((a.0, b.1));
+        if c1 <= c2 {
+            p1
+        } else {
+            p2
+        }
+    }
+
+    /// Overwrites `path` with the cheapest path from `a` to `b` under the
+    /// cached edge costs.
+    fn maze_route(&mut self, a: (usize, usize), b: (usize, usize), path: &mut Vec<(usize, usize)>) {
+        self.maze.search(a, b, &self.cost, path);
+    }
+
+    /// Independent check of the final state: every segment path is a
+    /// 4-connected gcell walk from its `a` to its `b`, the usage
+    /// recomputed from all paths equals the grid's counters, and the
+    /// cost table equals [`edge_cost`] recomputed for every edge.
+    fn check(&self, segments: &[Segment]) -> Result<(), String> {
+        let (nx, ny) = (self.grid.nx(), self.grid.ny());
+        let mut usage = vec![0u32; self.cost.len()];
+        for (i, s) in segments.iter().enumerate() {
+            if s.path.first() != Some(&s.a) || s.path.last() != Some(&s.b) {
+                return Err(format!(
+                    "segment {i} does not run from {:?} to {:?}",
+                    s.a, s.b
+                ));
+            }
+            for (p, q) in steps(&s.path) {
+                let inside = p.0.max(q.0) < nx && p.1.max(q.1) < ny;
+                if !inside || p.0.abs_diff(q.0) + p.1.abs_diff(q.1) != 1 {
+                    return Err(format!("segment {i} steps from {p:?} to {q:?}"));
+                }
+                let (x, y, d) = step_edge(p, q);
+                usage[edge_ix(nx, ny, x, y, d)] += 1;
+            }
+        }
+        for (e, (x, y, d)) in edges(nx, ny).enumerate() {
+            if usage[e] != self.grid.usage(x, y, d) {
+                return Err(format!(
+                    "edge {:?} has usage {} but its paths use it {} times",
+                    (x, y, d),
+                    self.grid.usage(x, y, d),
+                    usage[e]
+                ));
+            }
+            let fresh = edge_cost(&self.grid, &self.history, self.config, x, y, d);
+            if self.cost[e].to_bits() != fresh.to_bits() {
+                return Err(format!(
+                    "edge {:?} caches cost {} but costs {fresh}",
+                    (x, y, d),
+                    self.cost[e]
+                ));
+            }
+        }
+        Ok(())
+    }
 }
 
-/// Adds (`delta`=1) or removes (`delta`=-1) a path's usage.
-fn commit(grid: &mut RoutingGrid, path: &[(usize, usize)], delta: i32) {
-    for w in path.windows(2) {
-        let &[a, b] = w else { continue };
-        if a.1 == b.1 {
-            grid.add_usage(a.0.min(b.0), a.1, Dir::Horizontal, delta);
-        } else {
-            grid.add_usage(a.0, a.1.min(b.1), Dir::Vertical, delta);
+/// Dijkstra search buffers, allocated once per route call and reset after
+/// each search on the gcells it reached.
+struct Maze {
+    nx: usize,
+    ny: usize,
+    /// Distance from the source per gcell (`y * nx + x`); infinite
+    /// between searches.
+    dist: Vec<f64>,
+    /// Predecessor per gcell. Only read along the chain from the target,
+    /// whose every link the current search wrote, so it is never reset.
+    prev: Vec<u32>,
+    /// Gcells whose `dist` the current search set.
+    touched: Vec<usize>,
+    /// Min-heap of packed [`Maze::key`]s.
+    heap: BinaryHeap<Reverse<u128>>,
+}
+
+impl Maze {
+    fn new(nx: usize, ny: usize) -> Self {
+        assert!(
+            u32::try_from(nx * ny).is_ok(),
+            "gcell indices must fit in 32 bits"
+        );
+        Maze {
+            nx,
+            ny,
+            dist: vec![f64::INFINITY; nx * ny],
+            prev: vec![u32::MAX; nx * ny],
+            touched: Vec::new(),
+            heap: BinaryHeap::new(),
+        }
+    }
+
+    /// Heap key of gcell `(x, y)` at distance `d`: the bits of `d`, then
+    /// `x`, then `y`. A non-negative `f64` orders like its bit pattern, so
+    /// keys order by cost and break ties by gcell, and as every push
+    /// strictly lowers its gcell's distance no two keys are equal.
+    fn key(d: f64, x: usize, y: usize) -> Reverse<u128> {
+        Reverse(u128::from(d.to_bits()) << 64 | (x as u128) << 32 | y as u128)
+    }
+
+    /// Overwrites `path` with the cheapest `a`→`b` gcell walk under the
+    /// per-edge `cost` (in [`edge_ix`] layout).
+    fn search(
+        &mut self,
+        a: (usize, usize),
+        b: (usize, usize),
+        cost: &[f64],
+        path: &mut Vec<(usize, usize)>,
+    ) {
+        let (nx, ny) = (self.nx, self.ny);
+        let v0 = (nx - 1) * ny;
+        self.relax(a.1 * nx + a.0, 0.0, a, u32::MAX);
+        while let Some(Reverse(k)) = self.heap.pop() {
+            let d = f64::from_bits((k >> 64) as u64);
+            let (x, y) = ((k >> 32) as u32 as usize, k as u32 as usize);
+            if (x, y) == b {
+                break;
+            }
+            let cur = y * nx + x;
+            if d > self.dist[cur] {
+                continue;
+            }
+            let from = cur as u32;
+            if x + 1 < nx {
+                self.relax(cur + 1, d + cost[y * (nx - 1) + x], (x + 1, y), from);
+            }
+            if x > 0 {
+                self.relax(cur - 1, d + cost[y * (nx - 1) + x - 1], (x - 1, y), from);
+            }
+            if y + 1 < ny {
+                self.relax(cur + nx, d + cost[v0 + cur], (x, y + 1), from);
+            }
+            if y > 0 {
+                self.relax(cur - nx, d + cost[v0 + cur - nx], (x, y - 1), from);
+            }
+        }
+        path.clear();
+        path.push(b);
+        let (mut cur, src) = (b.1 * nx + b.0, a.1 * nx + a.0);
+        while cur != src {
+            let p = self.prev[cur];
+            debug_assert!(p != u32::MAX, "maze route failed to reach the source");
+            cur = p as usize;
+            path.push((cur % nx, cur / nx));
+        }
+        path.reverse();
+        for i in self.touched.drain(..) {
+            self.dist[i] = f64::INFINITY;
+        }
+        self.heap.clear();
+    }
+
+    /// Lowers gcell `at` (`= (x, y)`) to distance `nd` via `from` if that
+    /// improves it.
+    fn relax(&mut self, at: usize, nd: f64, (x, y): (usize, usize), from: u32) {
+        let old = self.dist[at];
+        if nd < old {
+            if old == f64::INFINITY {
+                self.touched.push(at);
+            }
+            self.dist[at] = nd;
+            self.prev[at] = from;
+            self.heap.push(Self::key(nd, x, y));
         }
     }
 }
 
 /// Does the path cross any currently-overflowed edge?
 fn crosses_overflow(grid: &RoutingGrid, path: &[(usize, usize)]) -> bool {
-    path.windows(2).any(|w| {
-        let (a, b) = (w[0], w[1]);
-        if a.1 == b.1 {
-            grid.edge_overflow(a.0.min(b.0), a.1, Dir::Horizontal) > 0
-        } else {
-            grid.edge_overflow(a.0, a.1.min(b.1), Dir::Vertical) > 0
-        }
+    steps(path).any(|(p, q)| {
+        let (x, y, d) = step_edge(p, q);
+        grid.edge_overflow(x, y, d) > 0
     })
 }
 
@@ -478,6 +611,51 @@ mod tests {
             &LegalizeOptions::default(),
         );
         (d.netlist, d.design, d.placement)
+    }
+
+    /// FNV-1a over every segment's endpoints and path, in segment order.
+    fn segments_hash(segments: &[Segment]) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        let words = segments.iter().flat_map(|s| {
+            let ends = [s.a, s.b, (usize::MAX, s.path.len())];
+            ends.into_iter().chain(s.path.iter().copied())
+        });
+        for (x, y) in words {
+            for w in [x as u64, y as u64] {
+                for b in w.to_le_bytes() {
+                    h ^= u64::from(b);
+                    h = h.wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    /// Golden hash of every final segment path of `dp_small` at
+    /// utilization 0.92 after a fast global placement (the design of
+    /// `tests/golden.rs`), captured before the maze search moved to
+    /// reused state, cached edge costs and packed heap keys.
+    const DP_SMALL_SEGMENTS_GOLDEN: u64 = 9_640_620_021_978_542_004;
+
+    #[test]
+    fn final_segment_paths_match_golden() {
+        let mut cfg = GenConfig::named("dp_small", 1).unwrap();
+        cfg.utilization = 0.92;
+        let mut d = generate(&cfg);
+        GlobalPlacer::new(GpConfig::fast()).place(&d.netlist, &d.design, &mut d.placement, None);
+        let (report, segments) = route_segments(
+            &d.netlist,
+            &d.placement,
+            &d.design,
+            &RouteConfig::default(),
+            &Observer::noop(),
+        )
+        .unwrap();
+        assert!(
+            report.iterations > 0,
+            "the design must reach the maze router"
+        );
+        assert_eq!(segments_hash(&segments), DP_SMALL_SEGMENTS_GOLDEN);
     }
 
     #[test]
@@ -634,8 +812,7 @@ mod tests {
     fn l_path_is_monotone_and_connected() {
         let grid = RoutingGrid::new(sdp_geom::Rect::new(0.0, 0.0, 10.0, 10.0), 10, 10, 4, 4);
         let cfg = RouteConfig::default();
-        let hist = vec![0.0; 10 * 10 * 2];
-        let p = best_l_path((1, 1), (7, 5), &grid, &cfg, &hist);
+        let p = Router::new(grid, &cfg).best_l_path((1, 1), (7, 5));
         assert_eq!(p.first(), Some(&(1, 1)));
         assert_eq!(p.last(), Some(&(7, 5)));
         assert_eq!(p.len(), 1 + 6 + 4);
@@ -653,8 +830,9 @@ mod tests {
             grid.add_usage(x, 4, Dir::Horizontal, 2);
         }
         let cfg = RouteConfig::default();
-        let hist = vec![0.0; 8 * 8 * 2];
-        let p = maze_route((0, 4), (7, 4), &grid, &cfg, &hist);
+        let mut router = Router::new(grid, &cfg);
+        let mut p = Vec::new();
+        router.maze_route((0, 4), (7, 4), &mut p);
         assert_eq!(p.first(), Some(&(0, 4)));
         assert_eq!(p.last(), Some(&(7, 4)));
         // The path must detour off row 4 somewhere.
@@ -662,5 +840,57 @@ mod tests {
             p.iter().any(|&(_, y)| y != 4),
             "maze route should detour around the saturated corridor: {p:?}"
         );
+        // The reused search state is clean: a second search agrees.
+        let mut again = Vec::new();
+        router.maze_route((0, 4), (7, 4), &mut again);
+        assert_eq!(again, p);
+    }
+
+    /// A small routed state: three segments on a 6×5 grid, one L-routed
+    /// and two maze-routed, with one history bump in between.
+    fn small_state(cfg: &RouteConfig) -> (Router<'_>, Vec<Segment>) {
+        let grid = RoutingGrid::new(sdp_geom::Rect::new(0.0, 0.0, 6.0, 5.0), 6, 5, 1, 1);
+        let mut router = Router::new(grid, cfg);
+        let mut segments: Vec<Segment> = [((0, 0), (5, 4)), ((0, 4), (5, 0)), ((1, 2), (4, 2))]
+            .into_iter()
+            .map(|(a, b)| Segment {
+                a,
+                b,
+                path: Vec::new(),
+            })
+            .collect();
+        segments[0].path = router.best_l_path(segments[0].a, segments[0].b);
+        router.commit(&segments[0].path, 1);
+        router.bump_history();
+        for seg in &mut segments[1..] {
+            router.maze_route(seg.a, seg.b, &mut seg.path);
+            router.commit(&seg.path, 1);
+        }
+        (router, segments)
+    }
+
+    #[test]
+    fn independent_check_catches_broken_paths_usage_and_costs() {
+        let cfg = RouteConfig::default();
+        let broken = |corrupt: &dyn Fn(&mut Router<'_>, &mut Vec<Segment>)| {
+            let (mut router, mut segments) = small_state(&cfg);
+            corrupt(&mut router, &mut segments);
+            router.check(&segments)
+        };
+        assert_eq!(broken(&|_, _| {}), Ok(()));
+        let jumped = broken(&|_, s| {
+            s[2].path.remove(1);
+        });
+        assert!(jumped.unwrap_err().contains("segment 2 steps"));
+        let short = broken(&|_, s| {
+            s[1].path.pop();
+        });
+        assert!(short.unwrap_err().contains("segment 1 does not run"));
+        let stray = broken(&|r, _| r.grid.add_usage(2, 3, Dir::Vertical, 1));
+        assert!(stray
+            .unwrap_err()
+            .contains("has usage 1 but its paths use it 0"));
+        let stale = broken(&|r, _| r.cost[4] += 1.0);
+        assert!(stale.unwrap_err().contains("caches cost"));
     }
 }
